@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pard_metrics::RequestLog;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
-use pard_runtime::{Completion, EdgeState};
+use pard_runtime::{Completion, CompletionHandler, EdgeState};
 use pard_sim::{SimDuration, SimTime};
 
 /// Engine-assigned request identifier, unique for the lifetime of the
@@ -67,15 +67,30 @@ pub trait EngineHandle: Send + Sync {
     fn now(&self) -> SimTime;
 
     /// Submits one request; returns its id. The terminal state arrives
-    /// on the completion sink.
+    /// at the completion handler.
     fn submit(&self, spec: SubmitSpec) -> RequestId;
 
     /// Snapshot of the state edge admission control needs.
     fn edge_state(&self) -> EdgeState;
 
-    /// Registers the channel that receives a [`Completion`] the moment
-    /// any request resolves. Replaces a previously registered sink.
-    fn set_completion_sink(&self, sink: Sender<Completion>);
+    /// Registers the handler called with each [`Completion`] the moment
+    /// its request resolves, replacing any previous one. It runs on the
+    /// resolving thread — a live worker, or the caller of `pump`,
+    /// `advance_to`, a scheduled `submit` or `drain` on a stepped
+    /// engine — possibly under the engine's internal lock, so it must
+    /// not call back into the engine. Locks it takes rank below the
+    /// engine's (the gateway's order: engine → pending shard → shard
+    /// inbox, never the reverse). Nothing is delivered after `drain`
+    /// returns.
+    fn set_completion_handler(&self, handler: CompletionHandler);
+
+    /// [`EngineHandle::set_completion_handler`] forwarding each completion
+    /// into `sink`; sends to a hung-up receiver are discarded.
+    fn set_completion_sink(&self, sink: Sender<Completion>) {
+        self.set_completion_handler(Arc::new(move |completion| {
+            let _ = sink.send(completion);
+        }));
+    }
 
     /// Whether this engine's virtual time only advances when driven
     /// ([`EngineHandle::pump`] / [`EngineHandle::advance_to`]). Live
@@ -96,7 +111,7 @@ pub trait EngineHandle: Send + Sync {
 
     /// Moves virtual time to exactly `t` for engines with a stepped
     /// clock, processing every due event on the way (completions reach
-    /// the sink) — the scheduled-replay primitive: a driver replaying a
+    /// the handler) — the scheduled-replay primitive: a driver replaying a
     /// known arrival schedule advances to each arrival time before
     /// submitting, which also gates background pumping so outcomes are
     /// a pure function of the schedule and the seed (see
@@ -109,7 +124,7 @@ pub trait EngineHandle: Send + Sync {
 
     /// Resolves in-flight requests (bounded by `limit` of virtual
     /// time), stops the engine, and returns the request log. The first
-    /// call takes the log and drops the completion sink; later calls
+    /// call takes the log and drops the completion handler; later calls
     /// return an empty log.
     fn drain(&self, limit: SimDuration) -> RequestLog;
 

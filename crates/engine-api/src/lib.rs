@@ -39,4 +39,4 @@ pub use sim::SimEngine;
 // The concrete types the unified API traffics in, re-exported so
 // front-ends need only this crate.
 pub use pard_cluster::{ClusterConfig, FaultSpec, SimServer};
-pub use pard_runtime::{Completion, EdgeState, LiveCluster, LiveConfig};
+pub use pard_runtime::{Completion, CompletionHandler, EdgeState, LiveCluster, LiveConfig};

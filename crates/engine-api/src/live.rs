@@ -1,12 +1,11 @@
 //! [`EngineHandle`] over the live threaded runtime.
 
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use pard_metrics::RequestLog;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
-use pard_runtime::{Completion, EdgeState, LiveCluster, SubmitOptions};
+use pard_runtime::{CompletionHandler, EdgeState, LiveCluster, SubmitOptions};
 use pard_sim::{SimDuration, SimTime};
 
 use crate::handle::{EngineHandle, RequestId, SubmitSpec};
@@ -50,8 +49,8 @@ impl EngineHandle for LiveEngine {
         self.cluster.edge_state()
     }
 
-    fn set_completion_sink(&self, sink: Sender<Completion>) {
-        self.cluster.set_completion_sink(sink);
+    fn set_completion_handler(&self, handler: CompletionHandler) {
+        self.cluster.set_completion_handler(handler);
     }
 
     fn drain(&self, limit: SimDuration) -> RequestLog {

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -11,7 +10,7 @@ use pard_cluster::{SimServer, TerminalEvent};
 use pard_metrics::RequestLog;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
-use pard_runtime::{Completion, EdgeState};
+use pard_runtime::{Completion, CompletionHandler, EdgeState};
 use pard_sim::{SimDuration, SimTime};
 
 use crate::handle::{EngineHandle, RequestId, SubmitSpec};
@@ -24,24 +23,22 @@ struct Inner {
     server: SimServer,
     /// Caller tags by request id, echoed in completions.
     tags: HashMap<u64, u64>,
-    sink: Option<Sender<Completion>>,
+    handler: Option<CompletionHandler>,
 }
 
 impl Inner {
+    /// Calls the handler on this thread, under the engine lock.
     fn deliver(&mut self, terminals: Vec<TerminalEvent>) {
         for t in terminals {
             let tag = self.tags.remove(&t.id).unwrap_or(0);
-            if let Some(sink) = self.sink.as_ref() {
-                let completion = Completion {
+            if let Some(handler) = &self.handler {
+                handler(Completion {
                     id: t.id,
                     tag,
                     sent: t.sent,
                     deadline: t.deadline,
                     outcome: t.outcome,
-                };
-                if sink.send(completion).is_err() {
-                    self.sink = None;
-                }
+                });
             }
         }
     }
@@ -115,7 +112,7 @@ impl SimEngine {
             inner: Mutex::new(Inner {
                 server,
                 tags: HashMap::new(),
-                sink: None,
+                handler: None,
             }),
         }
     }
@@ -170,8 +167,8 @@ impl EngineHandle for SimEngine {
         }
     }
 
-    fn set_completion_sink(&self, sink: Sender<Completion>) {
-        self.inner.lock().sink = Some(sink);
+    fn set_completion_handler(&self, handler: CompletionHandler) {
+        self.inner.lock().handler = Some(handler);
     }
 
     fn stepped(&self) -> bool {
@@ -202,7 +199,7 @@ impl EngineHandle for SimEngine {
         let mut inner = self.inner.lock();
         let terminals = inner.server.drain(limit);
         inner.deliver(terminals);
-        inner.sink = None;
+        inner.handler = None;
         self.publish_now(&inner);
         inner.server.take_log()
     }

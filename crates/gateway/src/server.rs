@@ -21,12 +21,12 @@
 //! [`crate::netpoll::Poller`] over its slice of nonblocking sockets,
 //! so one process holds tens of thousands of connections without tens
 //! of thousands of stacks. Cross-thread work (new connections from the
-//! acceptor, replies from the dispatchers) arrives on a per-shard
-//! inbox whose self-pipe waker interrupts a sleeping poll; a
-//! `sleeping` flag keeps the wake syscall off the path while the shard
-//! is busy. Each shard processes a bounded number of lines per
-//! connection per tick, so one pipelining flood cannot starve the
-//! polite connections sharing its shard.
+//! acceptor, completion replies from whichever thread resolved the
+//! request) arrives on a per-shard inbox whose self-pipe waker
+//! interrupts a sleeping poll; a `sleeping` flag keeps the wake syscall
+//! off the path while the shard is busy. Each shard processes a
+//! bounded number of lines per connection per tick, so one pipelining
+//! flood cannot starve the polite connections sharing its shard.
 //!
 //! # The hot path
 //!
@@ -50,6 +50,10 @@
 //! * **Submits wake the pump.** Stepped engines are driven the moment
 //!   work arrives instead of on the pump thread's next idle tick,
 //!   which is what bounds closed-loop RTT on the sim backend.
+//! * **Completions are answered where they resolve.** The engine calls
+//!   the gateway's handler on the resolving thread (pump, replaying
+//!   shard or live worker), which queues the reply on the shard inbox
+//!   directly. Locks nest engine → pending shard → shard inbox.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -57,7 +61,6 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,7 +68,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use pard_core::Decision;
-use pard_engine_api::{Completion, EngineHandle, SubmitSpec};
+use pard_engine_api::{Completion, CompletionHandler, EngineHandle, SubmitSpec};
 use pard_metrics::{DropReason, ModuleDropCounters, Outcome, RequestLog, ServingCounters};
 use pard_obs::{EngineFrame, FlightRecorder, FrameBus, ObsEvent, ObsKind};
 use pard_sim::{SimDuration, SimTime, TokenBucket};
@@ -295,8 +298,8 @@ impl ShardInbox {
 }
 
 /// Where replies for one connection go: its shard's inbox, addressed
-/// by connection token. Cloneable and thread-safe, so dispatchers and
-/// replay drains reply from any thread.
+/// by connection token. Cloneable and thread-safe, so completion
+/// handlers and replay drains reply from any thread.
 ///
 /// `outstanding` counts responses the connection is still owed (filed
 /// pending entries plus parked replay requests); a connection whose
@@ -871,7 +874,7 @@ fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
             let _ = poller.wait(&mut events, Some(0));
         }
 
-        // Cross-thread work: new connections, dispatcher replies.
+        // Cross-thread work: new connections, completion replies.
         inbox.take(&mut msgs);
         for msg in msgs.drain(..) {
             apply_msg(
@@ -1619,8 +1622,9 @@ fn finish_decision(
                 app.pump_signal.notify();
             }
             if !settles {
-                // The dispatcher's eventual reply settles this owed
-                // response; parked requests were counted at park time.
+                // The completion handler's eventual reply settles this
+                // owed response; parked requests were counted at park
+                // time.
                 sink.outstanding.fetch_add(1, Ordering::SeqCst);
             }
             if let Some(completion) = core.pending.insert_tenant(
@@ -1646,8 +1650,9 @@ fn finish_decision(
 }
 
 /// Classifies one completion into its wire reply, bumping the serving
-/// counters — shared by the dispatcher (completion found its entry) and
-/// the shard thread (completion raced the insert and was parked).
+/// counters — shared by the completion handler (completion found its
+/// entry) and the shard thread (completion raced the insert and was
+/// parked).
 fn completion_reply(
     completion: &Completion,
     seq: Option<u64>,
@@ -1679,31 +1684,36 @@ fn completion_reply(
     }
 }
 
-fn dispatcher_loop(
-    completions: Receiver<Completion>,
-    app_index: usize,
+/// `app`'s completion handler: runs on the resolving thread and answers
+/// into the connection's shard inbox. A completion whose entry is not
+/// filed yet parks for the inserting thread (see `crate::pending`); one
+/// for a request flushed by the watchdog or at shutdown parks
+/// harmlessly. It clones `app`'s counters and never captures `app`
+/// itself: the engine owns the handler, so that would be a cycle.
+fn completion_handler(
     pending: Arc<PendingMap<PendingEntry, Completion>>,
-    app: Arc<AppState>,
-) {
-    // Ends when the engine (the only sender) shuts down.
-    while let Ok(completion) = completions.recv() {
-        // An entry means the submit already filed it; otherwise the
-        // completion is parked in the shard and the inserting thread
-        // claims it (see `crate::pending`). A completion for a request
-        // flushed during shutdown parks harmlessly.
+    app: &AppState,
+) -> CompletionHandler {
+    let app_index = app.index;
+    let counters = Arc::clone(&app.counters);
+    let module_drops = Arc::clone(&app.module_drops);
+    let rtt = Arc::clone(&app.rtt);
+    Arc::new(move |completion| {
         let key = pending_key(app_index, completion.id);
-        let Some(entry) = pending.take_or_stash(key, completion) else {
-            continue;
-        };
-        let response = completion_reply(
-            &completion,
-            entry.seq,
-            &app.counters,
-            &app.module_drops,
-            &app.rtt,
-        );
-        entry.sink.reply(response, true);
-    }
+        if let Some(entry) = pending.take_or_stash(key, completion) {
+            let response = completion_reply(&completion, entry.seq, &counters, &module_drops, &rtt);
+            entry.sink.reply(response, true);
+        }
+    })
+}
+
+/// Spawns a gateway thread under `name`, which `/proc/<pid>/task/*/comm`
+/// shows (truncated to 15 bytes), so per-thread CPU is attributable.
+fn spawn_named(
+    name: impl Into<String>,
+    body: impl FnOnce() + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name.into()).spawn(body)
 }
 
 fn accept_loop(listener: TcpListener, core: Arc<Core>, inboxes: Vec<Arc<ShardInbox>>) {
@@ -1738,7 +1748,6 @@ pub struct Gateway {
     service_threads: Vec<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
     inboxes: Vec<Arc<ShardInbox>>,
-    dispatchers: Vec<JoinHandle<()>>,
 }
 
 impl Gateway {
@@ -1782,16 +1791,12 @@ impl Gateway {
 
         let mut states = Vec::with_capacity(apps.len());
         let mut by_name = HashMap::new();
-        let mut completion_rxs = Vec::new();
         for (index, app) in apps.into_iter().enumerate() {
             let AppConfig {
                 engine,
                 rate_limit,
                 weight: _,
             } = app;
-            let (completion_tx, completion_rx) = mpsc::channel();
-            engine.set_completion_sink(completion_tx);
-            completion_rxs.push(completion_rx);
             let source = engine.spec().source();
             let paths = pard_pipeline::graph::downstream_paths(engine.spec(), source);
             let recorder = engine.telemetry();
@@ -1809,7 +1814,7 @@ impl Gateway {
                     engine.now(),
                 ))
             });
-            states.push(Arc::new(AppState {
+            let state = Arc::new(AppState {
                 index,
                 name,
                 snapshot: EdgePublisher::new(EdgeSnapshot::new(
@@ -1833,7 +1838,10 @@ impl Gateway {
                 healthy: AtomicBool::new(true),
                 pump_entered_ms: AtomicU64::new(u64::MAX),
                 engine,
-            }));
+            });
+            let handler = completion_handler(Arc::clone(&pending), &state);
+            state.engine.set_completion_handler(handler);
+            states.push(state);
         }
 
         let core = Arc::new(Core {
@@ -1852,25 +1860,14 @@ impl Gateway {
         // Shard event loops: the connection fabric.
         let mut inboxes = Vec::new();
         let mut shard_threads = Vec::new();
-        for _ in 0..config.shards.max(1) {
+        for n in 0..config.shards.max(1) {
             let inbox = Arc::new(ShardInbox::new()?);
             let core = Arc::clone(&core);
             let thread_inbox = Arc::clone(&inbox);
-            shard_threads.push(std::thread::spawn(move || shard_loop(core, thread_inbox)));
+            shard_threads.push(spawn_named(format!("pard-shard-{n}"), move || {
+                shard_loop(core, thread_inbox)
+            })?);
             inboxes.push(inbox);
-        }
-
-        // Dispatchers: engine completions → shard inboxes, one per app.
-        // They hold only the pending map and the app state, so they
-        // outlive the shard threads and keep routing completions while
-        // shutdown drains the engines.
-        let mut dispatchers = Vec::new();
-        for (index, completion_rx) in completion_rxs.into_iter().enumerate() {
-            let app = Arc::clone(&core.apps[index]);
-            let pending = Arc::clone(&pending);
-            dispatchers.push(std::thread::spawn(move || {
-                dispatcher_loop(completion_rx, index, pending, app)
-            }));
         }
 
         let mut service_threads = Vec::new();
@@ -1884,7 +1881,7 @@ impl Gateway {
             let core = Arc::clone(&core);
             let refresh = config.edge_refresh;
             let pump_stall = config.pump_stall;
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-poller", move || {
                 while !core.shutdown.load(Ordering::SeqCst) {
                     for app in &core.apps {
                         if !app.is_healthy() {
@@ -1904,7 +1901,7 @@ impl Gateway {
                     }
                     std::thread::sleep(refresh);
                 }
-            }));
+            })?);
         }
 
         // One pump per app: advances engines with a stepped virtual
@@ -1920,7 +1917,7 @@ impl Gateway {
         for app in &core.apps {
             let app = Arc::clone(app);
             let core = Arc::clone(&core);
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named(format!("pard-pump-{}", app.name), move || {
                 while !core.shutdown.load(Ordering::SeqCst) {
                     if !app.is_healthy() {
                         return;
@@ -1952,16 +1949,16 @@ impl Gateway {
                     };
                     app.pump_signal.wait_after(observed, idle);
                 }
-            }));
+            })?);
         }
 
         // Accept loop.
         {
             let core = Arc::clone(&core);
             let inboxes = inboxes.clone();
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-accept", move || {
                 accept_loop(listener, core, inboxes);
-            }));
+            })?);
         }
 
         // Telemetry sampler: periodically folds each app's serving
@@ -1970,7 +1967,7 @@ impl Gateway {
         {
             let core = Arc::clone(&core);
             let period = config.telemetry_period;
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-telemetry", move || {
                 let mut seq = 0u64;
                 let mut prev: Vec<_> = core.apps.iter().map(|a| a.counters.snapshot()).collect();
                 loop {
@@ -1985,15 +1982,15 @@ impl Gateway {
                     }
                     std::thread::sleep(period);
                 }
-            }));
+            })?);
         }
 
         // Metrics endpoint.
         {
             let core = Arc::clone(&core);
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-metrics", move || {
                 metrics_loop(metrics_listener, core);
-            }));
+            })?);
         }
 
         Ok(Gateway {
@@ -2003,7 +2000,6 @@ impl Gateway {
             service_threads,
             shard_threads,
             inboxes,
-            dispatchers,
         })
     }
 
@@ -2084,7 +2080,6 @@ impl Gateway {
             service_threads,
             shard_threads,
             inboxes,
-            dispatchers,
         } = self;
         core.shutdown.store(true, Ordering::SeqCst);
         // Wake the pump threads out of their idle waits so they observe
@@ -2100,11 +2095,13 @@ impl Gateway {
         // admissions race the flush below, then give the pipelines a
         // bounded window to resolve what is in flight. Stepped engines
         // no longer have their pump threads, so this loop pumps them
-        // directly — and gives up once no engine progresses (when a
-        // replay client vanished without its trailing advance, the
-        // clock gate is unreachable and waiting longer cannot resolve
-        // anything). Live engines resolve work on their own threads, so
-        // only the 30 s ceiling applies to them.
+        // directly (their completions are answered on this thread,
+        // while the shards still run to write them out) — and gives up
+        // once no engine progresses (when a replay client vanished
+        // without its trailing advance, the clock gate is unreachable
+        // and waiting longer cannot resolve anything). Live engines
+        // resolve work on their own threads, so only the 30 s ceiling
+        // applies to them.
         std::thread::sleep(Duration::from_millis(150));
         let all_stepped = core.apps.iter().all(|a| a.stepped);
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -2162,10 +2159,9 @@ impl Gateway {
         for handle in shard_threads {
             let _ = handle.join();
         }
-        // Draining stops each engine and drops its completion sender,
-        // which is what lets its dispatcher exit.
-        let logs: Vec<RequestLog> = core
-            .apps
+        // Draining stops each engine; completions it still resolves
+        // find no entry and park harmlessly.
+        core.apps
             .iter()
             .map(|app| {
                 // A watchdog-tripped engine may panic again in drain;
@@ -2175,11 +2171,7 @@ impl Gateway {
                 }))
                 .unwrap_or_default()
             })
-            .collect();
-        for handle in dispatchers {
-            let _ = handle.join();
-        }
-        logs
+            .collect()
     }
 }
 
@@ -2248,9 +2240,12 @@ fn metrics_loop(listener: TcpListener, core: Arc<Core>) {
             Ok((stream, _)) => {
                 let core = Arc::clone(&core);
                 conns.retain(|h| !h.is_finished());
-                conns.push(std::thread::spawn(move || {
+                // A failed spawn drops the connection unanswered.
+                if let Ok(handle) = spawn_named("pard-http", move || {
                     let _ = serve_http(stream, &core);
-                }));
+                }) {
+                    conns.push(handle);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));

@@ -3,24 +3,34 @@
 //! back through the sharded pending table. Every request must be
 //! answered exactly once — no lost completions (a dropped orphan), no
 //! doubles (an entry routed twice) — and the serving-counter algebra
-//! must survive the load.
+//! must survive the load. Completions are answered on the thread that
+//! resolves them — the pump on the simulator, the runtime's worker
+//! threads on the live engine — so the pipelined hammer runs on both.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
-use pard_engine_api::{Backend, ClusterConfig, EngineBuilder};
+use pard_engine_api::{Backend, ClusterConfig, EngineBuilder, LiveConfig};
 use pard_gateway::{CallSpec, Client, Gateway, GatewayConfig};
 use pard_pipeline::AppKind;
 
-fn sim_gateway(seed: u64) -> Gateway {
+fn sim_backend(seed: u64) -> Backend {
+    Backend::Sim(
+        ClusterConfig::default()
+            .with_seed(seed)
+            .with_fixed_workers(vec![2, 2, 2])
+            .with_pard(pard_core::PardConfig::default().with_mc_draws(200)),
+    )
+}
+
+fn live_backend() -> Backend {
+    Backend::Live(LiveConfig::compressed(20.0, 3, 2))
+}
+
+fn gateway(backend: Backend) -> Gateway {
     let engine = EngineBuilder::new(AppKind::Tm.pipeline())
-        .build(Backend::Sim(
-            ClusterConfig::default()
-                .with_seed(seed)
-                .with_fixed_workers(vec![2, 2, 2])
-                .with_pard(pard_core::PardConfig::default().with_mc_draws(200)),
-        ))
-        .expect("sim engine builds");
+        .build(backend)
+        .expect("engine builds");
     Gateway::start(
         engine,
         GatewayConfig {
@@ -34,14 +44,20 @@ fn sim_gateway(seed: u64) -> Gateway {
 
 /// ≥ 8 connections, each pipelining every request before reading any
 /// answer: submits on all connections race one another (and the
-/// dispatcher) across the pending-table shards, and the 1 ms canaries
-/// keep the edge-reject path interleaved with admissions.
+/// threads resolving completions) across the pending-table shards, and
+/// the 1 ms canaries keep the edge-reject path interleaved with
+/// admissions. Runs on the simulator and on the live runtime.
 #[test]
 fn pipelined_connections_lose_no_completions_and_double_none() {
+    for (name, backend) in [("sim", sim_backend(7)), ("live", live_backend())] {
+        pipelined_exactly_once(name, gateway(backend));
+    }
+}
+
+fn pipelined_exactly_once(backend: &str, gateway: Gateway) {
     const CONNS: usize = 12;
     const PER_CONN: usize = 150;
 
-    let gateway = sim_gateway(7);
     let addr = gateway.addr();
 
     let (result_tx, result_rx) = mpsc::channel();
@@ -74,7 +90,7 @@ fn pipelined_connections_lose_no_completions_and_double_none() {
     for (conn, sent_seqs, drained) in result_rx.iter() {
         assert_eq!(
             drained.unanswered, 0,
-            "connection {conn}: {} requests never answered (lost completions)",
+            "{backend} connection {conn}: {} requests never answered (lost completions)",
             drained.unanswered
         );
         // Exactly once: the set of answered seqs equals the set sent.
@@ -85,11 +101,14 @@ fn pipelined_connections_lose_no_completions_and_double_none() {
         assert_eq!(
             before_dedup,
             answered.len(),
-            "connection {conn}: duplicate answers"
+            "{backend} connection {conn}: duplicate answers"
         );
         let mut expected = sent_seqs.clone();
         expected.sort_unstable();
-        assert_eq!(answered, expected, "connection {conn}: answer set mismatch");
+        assert_eq!(
+            answered, expected,
+            "{backend} connection {conn}: answer set mismatch"
+        );
         answered_total += before_dedup;
     }
     for worker in workers {
@@ -106,13 +125,24 @@ fn pipelined_connections_lose_no_completions_and_double_none() {
     assert_eq!(counters.protocol_errors, 0);
     assert_eq!(counters.refused, 0);
     assert_eq!(counters.admitted + counters.rejected, counters.received);
-    assert!(counters.rejected > 0, "canaries should be edge-rejected");
+    assert!(
+        counters.rejected > 0,
+        "{backend}: canaries should be edge-rejected"
+    );
+    assert!(
+        counters.completed_ok > 0,
+        "{backend}: admitted traffic should complete"
+    );
     assert_eq!(
         counters.completed_ok + counters.completed_late + counters.dropped,
         counters.admitted,
-        "admitted requests must land in exactly one terminal counter"
+        "{backend}: admitted requests must land in exactly one terminal counter"
     );
-    assert_eq!(gateway.pending_len(), 0, "pending table must drain");
+    assert_eq!(
+        gateway.pending_len(),
+        0,
+        "{backend}: pending table must drain"
+    );
     gateway.shutdown(pard_sim::SimDuration::from_secs(30));
 }
 
@@ -126,7 +156,7 @@ fn closed_loop_hammer_answers_every_call() {
     const CONNS: usize = 8;
     const PER_CONN: usize = 120;
 
-    let gateway = sim_gateway(11);
+    let gateway = gateway(sim_backend(11));
     let addr = gateway.addr();
 
     let mut workers = Vec::new();

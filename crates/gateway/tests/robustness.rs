@@ -11,12 +11,11 @@
 //! tenants unaffected.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use pard_engine_api::{
-    Backend, ClusterConfig, Completion, EdgeState, EngineBuilder, EngineHandle, LiveConfig,
+    Backend, ClusterConfig, CompletionHandler, EdgeState, EngineBuilder, EngineHandle, LiveConfig,
     SubmitSpec,
 };
 use pard_gateway::client::{CallSpec, Client, Outcome};
@@ -90,7 +89,7 @@ struct BrokenPumpEngine {
     spec: PipelineSpec,
     failure: PumpFailure,
     submitted: AtomicU64,
-    sink: Mutex<Option<Sender<Completion>>>,
+    handler: Mutex<Option<CompletionHandler>>,
 }
 
 impl BrokenPumpEngine {
@@ -101,7 +100,7 @@ impl BrokenPumpEngine {
             spec,
             failure,
             submitted: AtomicU64::new(0),
-            sink: Mutex::new(None),
+            handler: Mutex::new(None),
         })
     }
 }
@@ -132,8 +131,8 @@ impl EngineHandle for BrokenPumpEngine {
         }
     }
 
-    fn set_completion_sink(&self, sink: Sender<Completion>) {
-        *self.sink.lock().unwrap() = Some(sink);
+    fn set_completion_handler(&self, handler: CompletionHandler) {
+        *self.handler.lock().unwrap() = Some(handler);
     }
 
     fn stepped(&self) -> bool {
@@ -157,8 +156,9 @@ impl EngineHandle for BrokenPumpEngine {
     }
 
     fn drain(&self, _limit: SimDuration) -> RequestLog {
-        // Dropping the sink lets the gateway's dispatcher thread exit.
-        self.sink.lock().unwrap().take();
+        // Drain drops the handler, as the trait requires; it captures
+        // the gateway's pending table, which this releases.
+        self.handler.lock().unwrap().take();
         RequestLog::new()
     }
 }

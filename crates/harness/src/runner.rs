@@ -225,7 +225,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioRun {
             // The replay pipelines the whole schedule; admitted
             // requests resolve at simulation speed, but the cap must
             // never be grazed — an `overloaded` refusal would depend on
-            // dispatcher timing, not on the schedule.
+            // thread timing, not on the schedule.
             max_pending: 1 << 20,
             allow_replay: true,
             // Scheduled replay stays deterministic with the adaptive

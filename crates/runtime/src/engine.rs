@@ -22,7 +22,6 @@
 //! before they burn backend execution.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -128,7 +127,7 @@ impl SubmitOptions {
     }
 }
 
-/// Terminal-state notification delivered to the completion sink the
+/// Terminal-state notification delivered to the completion handler the
 /// moment a request resolves (completes or is dropped), without waiting
 /// for [`LiveCluster::finish`].
 #[derive(Clone, Copy, Debug)]
@@ -160,6 +159,11 @@ impl Completion {
     }
 }
 
+/// Receives each [`Completion`] on the thread that resolved the request,
+/// possibly on several threads at once (see
+/// [`LiveCluster::set_completion_handler`]).
+pub type CompletionHandler = Arc<dyn Fn(Completion) + Send + Sync>;
+
 /// Point-in-time view of the serving state a gateway needs for edge
 /// admission: per-module queue depths plus the static plan.
 #[derive(Clone, Debug)]
@@ -190,7 +194,7 @@ struct Shared {
     shutdown: AtomicBool,
     modules: Vec<ModuleShared>,
     records: Mutex<Vec<LiveRecord>>,
-    completion_tx: Mutex<Option<Sender<Completion>>>,
+    completion_handler: Mutex<Option<CompletionHandler>>,
     /// Flight recorder for lifecycle events, always on: recording is a
     /// ticket `fetch_add` plus a handful of atomic stores, so it stays
     /// off every lock and adds nothing observable to the serving path.
@@ -311,14 +315,12 @@ impl Shared {
         }
     }
 
-    /// Delivers a terminal-state notification, dropping the sink if the
-    /// receiver has gone away.
+    /// Calls the handler on this thread, cloned out of its lock so that
+    /// workers resolving requests at once never serialise on it.
     fn notify(&self, completion: Completion) {
-        let mut tx = self.completion_tx.lock();
-        if let Some(sender) = tx.as_ref() {
-            if sender.send(completion).is_err() {
-                *tx = None;
-            }
+        let handler = self.completion_handler.lock().clone();
+        if let Some(handler) = handler {
+            handler(completion);
         }
     }
 }
@@ -382,7 +384,7 @@ impl LiveCluster {
             shutdown: AtomicBool::new(false),
             modules,
             records: Mutex::new(Vec::new()),
-            completion_tx: Mutex::new(None),
+            completion_handler: Mutex::new(None),
             recorder: Arc::new(FlightRecorder::new()),
             spec,
         });
@@ -450,10 +452,11 @@ impl LiveCluster {
         id
     }
 
-    /// Registers a channel that receives a [`Completion`] the moment any
-    /// request resolves. Replaces a previously registered sink.
-    pub fn set_completion_sink(&self, sender: Sender<Completion>) {
-        *self.shared.completion_tx.lock() = Some(sender);
+    /// Registers the handler called with a [`Completion`] the moment any
+    /// request resolves, on the worker (or submitting) thread that
+    /// resolved it. Replaces a previously registered handler.
+    pub fn set_completion_handler(&self, handler: CompletionHandler) {
+        *self.shared.completion_handler.lock() = Some(handler);
     }
 
     /// The pipeline specification being served.
@@ -553,8 +556,9 @@ impl LiveCluster {
         for handle in handles {
             let _ = handle.join();
         }
-        // Completion consumers unblock once the engine is down.
-        *self.shared.completion_tx.lock() = None;
+        // Every resolving thread is joined: nothing is delivered after
+        // this, and dropping the handler unblocks channel consumers.
+        *self.shared.completion_handler.lock() = None;
         let records = std::mem::take(&mut *self.shared.records.lock());
         let mut log = RequestLog::new();
         for (id, r) in records.into_iter().enumerate() {

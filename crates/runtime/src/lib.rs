@@ -15,4 +15,7 @@ pub mod engine;
 
 pub use backend::{CpuBackend, InferenceBackend, ScriptedSlowdownBackend, SleepBackend};
 pub use clock::WallClock;
-pub use engine::{BackendFactory, Completion, EdgeState, LiveCluster, LiveConfig, SubmitOptions};
+pub use engine::{
+    BackendFactory, Completion, CompletionHandler, EdgeState, LiveCluster, LiveConfig,
+    SubmitOptions,
+};

@@ -153,7 +153,9 @@ fn branch_drop_cancels_siblings_and_reports_exactly_once() {
     });
     let cluster = start(policy);
     let (tx, rx) = std::sync::mpsc::channel();
-    cluster.set_completion_sink(tx);
+    cluster.set_completion_handler(std::sync::Arc::new(move |c| {
+        let _ = tx.send(c);
+    }));
     let id = cluster.submit();
     let log = cluster.finish(SimDuration::from_secs(20));
 
@@ -191,7 +193,9 @@ fn dropped_requests_resolve_promptly_not_at_drain_timeout() {
     });
     let cluster = start(policy);
     let (tx, rx) = std::sync::mpsc::channel();
-    cluster.set_completion_sink(tx);
+    cluster.set_completion_handler(std::sync::Arc::new(move |c| {
+        let _ = tx.send(c);
+    }));
     let id = cluster.submit();
     let completion = rx
         .recv_timeout(std::time::Duration::from_secs(10))

@@ -146,7 +146,9 @@ fn per_request_slo_overrides_pipeline_default() {
 fn completion_sink_reports_every_request_with_its_tag() {
     let cluster = start(400, 1, true);
     let (tx, rx) = std::sync::mpsc::channel();
-    cluster.set_completion_sink(tx);
+    cluster.set_completion_handler(std::sync::Arc::new(move |c| {
+        let _ = tx.send(c);
+    }));
     let mut expected = std::collections::HashMap::new();
     for tag in [7u64, 11, 13] {
         let id = cluster.submit_with(SubmitOptions::default().with_tag(tag));
