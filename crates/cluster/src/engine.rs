@@ -111,6 +111,13 @@ pub struct ClusterWorld {
     factory: PolicyFactory,
     pub(crate) modules: Vec<ModuleRuntime>,
     pub(crate) requests: RequestTable,
+    /// Serving mode only (`Some`): ids that turned terminal since the
+    /// driver last collected them, pushed at the two places a request
+    /// resolves ([`ClusterWorld::record_drop`] and the sink completion).
+    /// Trace-driven runs leave it `None`, and serving mode also skips
+    /// the per-sync priority telemetry only those runs return, so a
+    /// serving world holds nothing that grows with time served.
+    pub(crate) resolved: Option<Vec<u64>>,
     published: Vec<ModuleState>,
     rng: DetRng,
     sync_bytes: u64,
@@ -207,7 +214,8 @@ impl ClusterWorld {
             config,
             factory,
             modules,
-            requests: RequestTable::new(),
+            requests: RequestTable::new(true),
+            resolved: None,
             published,
             rng: rng.fork(2),
             sync_bytes: 0,
@@ -227,11 +235,17 @@ impl ClusterWorld {
         }
     }
 
-    /// Marks a request dropped (first drop wins) and meters it.
+    /// Marks a request dropped (first drop wins) and meters it; a
+    /// resolved or retired request is left alone.
     fn record_drop(&mut self, id: u64, module: usize, now: SimTime, reason: DropReason) {
-        let req = self.requests.get_mut(id);
+        let Some(req) = self.requests.get_mut(id) else {
+            return;
+        };
         if req.status == ReqStatus::Active {
             req.mark_dropped(module, now, reason);
+            if let Some(resolved) = &mut self.resolved {
+                resolved.push(id);
+            }
             self.modules[module].drop_meter.record(now);
             self.obs(ObsEvent {
                 t_us: now.as_micros(),
@@ -309,7 +323,7 @@ impl ClusterWorld {
                         PopOutcome::Admit(meta) => {
                             // A DAG sibling may have been dropped already;
                             // cancelled copies vanish without executing.
-                            if self.requests.get(meta.id).status != ReqStatus::Active {
+                            if self.requests.active(meta.id).is_none() {
                                 continue;
                             }
                             q_samples.push(now.saturating_since(meta.arrived).as_millis_f64());
@@ -375,10 +389,9 @@ impl ClusterWorld {
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        let record = self.requests.get(req);
-        if record.status != ReqStatus::Active {
+        let Some(record) = self.requests.active(req) else {
             return; // a DAG sibling was dropped
-        }
+        };
         let (sent, deadline) = (record.sent, record.deadline);
         let required = if self.config.dynamic_paths {
             1
@@ -386,7 +399,11 @@ impl ClusterWorld {
             self.modules[module].pres_count
         };
         if required > 1 {
-            if !self.requests.get_mut(req).deliver(module, required) {
+            let released = self
+                .requests
+                .get_mut(req)
+                .is_some_and(|r| r.deliver(module, required));
+            if !released {
                 return; // waiting for the other branch(es)
             }
             self.obs(ObsEvent {
@@ -430,6 +447,7 @@ impl ClusterWorld {
         let batch_len = entries.len();
         let gpu_share = now.saturating_since(t_e) / batch_len as u64;
         let subs = self.modules[m].subs.clone();
+        let keep_log = self.requests.keeps_log();
         let mut wcl_samples = Vec::with_capacity(batch_len);
         for e in &entries {
             let stage = StageRecord {
@@ -456,15 +474,24 @@ impl ClusterWorld {
                     exec_end_us: now.as_micros(),
                 },
             });
-            let record = self.requests.get_mut(e.req);
-            record.stages.push(stage);
-            record.completed_modules[m] = true;
+            // A retired request was dropped elsewhere while this copy
+            // executed; with the log kept, its stage still counts
+            // towards wasted GPU time.
+            let Some(record) = self.requests.get_mut(e.req) else {
+                continue;
+            };
+            if keep_log {
+                record.stages.push(stage);
+            }
             if record.status != ReqStatus::Active {
                 continue; // dropped elsewhere while executing
             }
             if subs.is_empty() {
                 let deadline = record.deadline;
                 record.mark_completed(now);
+                if let Some(resolved) = &mut self.resolved {
+                    resolved.push(e.req);
+                }
                 self.obs(ObsEvent {
                     t_us: now.as_micros(),
                     req: e.req,
@@ -583,16 +610,18 @@ impl ClusterWorld {
             }
             self.sync_bytes +=
                 fresh[k].encoded_size_bytes() as u64 * (n.saturating_sub(1).max(1)) as u64;
-            self.priority_log.push(PrioritySample {
-                t: now,
-                module: k,
-                load_factor,
-                epsilon,
-                mode: self.modules[k]
-                    .workers
-                    .first()
-                    .and_then(|w| w.policy.priority_mode()),
-            });
+            if self.resolved.is_none() {
+                self.priority_log.push(PrioritySample {
+                    t: now,
+                    module: k,
+                    load_factor,
+                    epsilon,
+                    mode: self.modules[k]
+                        .workers
+                        .first()
+                        .and_then(|w| w.policy.priority_mode()),
+                });
+            }
         }
         self.published = fresh;
         let next = now + self.config.pard.sync_period;
@@ -710,10 +739,9 @@ impl ClusterWorld {
                     self.dispatch(k, meta, now, queue);
                 }
                 for entry in forming {
-                    let record = self.requests.get(entry.req);
-                    if record.status != ReqStatus::Active {
+                    let Some(record) = self.requests.active(entry.req) else {
                         continue;
-                    }
+                    };
                     let meta = ReqMeta {
                         id: entry.req,
                         sent: record.sent,
@@ -754,10 +782,9 @@ impl ClusterWorld {
                 }
                 // Queued and forming requests are re-dispatched.
                 for entry in forming {
-                    let record = self.requests.get(entry.req);
-                    if record.status != ReqStatus::Active {
+                    let Some(record) = self.requests.active(entry.req) else {
                         continue;
-                    }
+                    };
                     let meta = ReqMeta {
                         id: entry.req,
                         sent: record.sent,
@@ -931,10 +958,10 @@ pub fn run_with_profiles(
     schedule_faults(&mut sim, &faults);
     sim.run_to_completion();
 
-    let world = sim.into_world();
+    let mut world = sim.into_world();
     let (active, _, _) = world.requests.status_counts();
     RunResult {
-        log: world.requests.into_log(),
+        log: world.requests.take_log(),
         trace_duration,
         priority_log: world.priority_log,
         sync_bytes: world.sync_bytes,

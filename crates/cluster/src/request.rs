@@ -1,6 +1,6 @@
 //! In-flight request tracking, including DAG split/merge bookkeeping.
 
-use pard_metrics::{DropReason, Outcome, RequestRecord, StageRecord};
+use pard_metrics::{DropReason, Outcome, RequestLog, RequestRecord, RequestSlots, StageRecord};
 use pard_pipeline::PipelineSpec;
 use pard_sim::SimTime;
 
@@ -25,7 +25,8 @@ pub struct InFlight {
     pub sent: SimTime,
     /// Absolute deadline.
     pub deadline: SimTime,
-    /// Stage records accumulated so far.
+    /// Stage records accumulated so far (only when the table keeps its
+    /// log; nothing else reads them).
     pub stages: Vec<StageRecord>,
     /// Current status.
     pub status: ReqStatus,
@@ -35,8 +36,6 @@ pub struct InFlight {
     /// module only enqueues once all predecessors delivered (`usize`,
     /// so any validatable fan-in fits without wrapping).
     pub merge_arrivals: Vec<usize>,
-    /// Modules whose execution completed (guards double-forwarding).
-    pub completed_modules: Vec<bool>,
 }
 
 impl InFlight {
@@ -46,11 +45,10 @@ impl InFlight {
             id,
             sent,
             deadline,
-            stages: Vec::with_capacity(modules),
+            stages: Vec::new(),
             status: ReqStatus::Active,
             outcome: Outcome::InFlight,
             merge_arrivals: vec![0; modules],
-            completed_modules: vec![false; modules],
         }
     }
 
@@ -89,55 +87,71 @@ impl InFlight {
     }
 }
 
-/// Table of all requests, alive and finished.
-#[derive(Debug, Default)]
+/// Table of requests by sequential id. Without the request log it
+/// holds live requests only: [`RequestTable::retire`] frees a resolved
+/// request and later lookups of its id return `None`, which every call
+/// site treats like a resolved (non-`Active`) record. With the log
+/// kept, retirement is a no-op and every record stays until
+/// [`RequestTable::take_log`].
+#[derive(Debug)]
 pub struct RequestTable {
-    slots: Vec<InFlight>,
+    slots: RequestSlots<InFlight>,
 }
 
 impl RequestTable {
-    /// Creates an empty table.
-    pub fn new() -> RequestTable {
-        RequestTable::default()
+    /// Creates an empty table; `keep_log` retains every record.
+    pub fn new(keep_log: bool) -> RequestTable {
+        RequestTable {
+            slots: RequestSlots::new(keep_log),
+        }
+    }
+
+    /// Whether resolved records are kept for the request log.
+    pub fn keeps_log(&self) -> bool {
+        self.slots.keeps_log()
+    }
+
+    /// Switches the log mode before the first insert (see
+    /// [`RequestSlots::set_keep_log`]).
+    pub fn set_keep_log(&mut self, keep: bool) {
+        self.slots.set_keep_log(keep);
     }
 
     /// Registers a new request and returns its id.
     pub fn insert(&mut self, sent: SimTime, deadline: SimTime, spec: &PipelineSpec) -> u64 {
-        let id = self.slots.len() as u64;
-        self.slots
-            .push(InFlight::new(id, sent, deadline, spec.modules.len()));
-        id
+        let modules = spec.modules.len();
+        let mut request = InFlight::new(self.slots.next_id(), sent, deadline, modules);
+        if self.keeps_log() {
+            request.stages.reserve_exact(modules);
+        }
+        self.slots.insert(request)
     }
 
-    /// Shared access by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown id — ids are only minted by
-    /// [`RequestTable::insert`].
-    pub fn get(&self, id: u64) -> &InFlight {
-        &self.slots[id as usize]
+    /// Shared access by id; `None` once the request is retired.
+    pub fn get(&self, id: u64) -> Option<&InFlight> {
+        self.slots.get(id)
     }
 
-    /// Exclusive access by id.
-    pub fn get_mut(&mut self, id: u64) -> &mut InFlight {
-        &mut self.slots[id as usize]
+    /// Exclusive access by id; `None` once the request is retired.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut InFlight> {
+        self.slots.get_mut(id)
     }
 
-    /// Total requests ever inserted.
-    pub fn len(&self) -> usize {
-        self.slots.len()
+    /// The request if it is still travelling through the pipeline.
+    pub fn active(&self, id: u64) -> Option<&InFlight> {
+        self.get(id).filter(|r| r.status == ReqStatus::Active)
     }
 
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// Frees a resolved request (a no-op when the log is kept).
+    pub fn retire(&mut self, id: u64) {
+        self.slots.retire(id);
     }
 
-    /// Counts by status: `(active, dropped, completed)`.
+    /// Counts of the records held, by status: `(active, dropped,
+    /// completed)`.
     pub fn status_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for r in &self.slots {
+        for r in self.slots.iter() {
             match r.status {
                 ReqStatus::Active => counts.0 += 1,
                 ReqStatus::Dropped => counts.1 += 1,
@@ -147,11 +161,15 @@ impl RequestTable {
         counts
     }
 
-    /// Drains everything into a metrics log.
-    pub fn into_log(self) -> pard_metrics::RequestLog {
-        let mut log = pard_metrics::RequestLog::new();
-        for r in self.slots {
-            log.push(r.into_record());
+    /// Takes every record into a metrics log, leaving the table empty;
+    /// later ids continue the sequence. Empty without the log.
+    pub fn take_log(&mut self) -> RequestLog {
+        let records = self.slots.take_all();
+        let mut log = RequestLog::new();
+        if self.keeps_log() {
+            for (_, r) in records {
+                log.push(r.into_record());
+            }
         }
         log
     }
@@ -166,25 +184,26 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let spec = AppKind::Tm.pipeline();
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::new(true);
         let id = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
         assert_eq!(id, 0);
-        assert_eq!(table.get(id).status, ReqStatus::Active);
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.get(id).unwrap().status, ReqStatus::Active);
+        assert!(table.active(id).is_some());
+        assert!(table.get(1).is_none(), "unminted ids are absent");
     }
 
     #[test]
     fn drop_is_sticky_and_first_wins() {
         let spec = AppKind::Da.pipeline();
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::new(true);
         let id = table.insert(SimTime::ZERO, SimTime::from_millis(420), &spec);
-        table
-            .get_mut(id)
-            .mark_dropped(1, SimTime::from_millis(50), DropReason::PredictedViolation);
+        let r = table.get_mut(id).unwrap();
+        r.mark_dropped(1, SimTime::from_millis(50), DropReason::PredictedViolation);
         // A later completion attempt must not overwrite the drop.
-        table.get_mut(id).mark_completed(SimTime::from_millis(60));
-        assert_eq!(table.get(id).status, ReqStatus::Dropped);
-        match table.get(id).outcome {
+        r.mark_completed(SimTime::from_millis(60));
+        assert_eq!(table.get(id).unwrap().status, ReqStatus::Dropped);
+        assert!(table.active(id).is_none());
+        match table.get(id).unwrap().outcome {
             Outcome::Dropped { module, .. } => assert_eq!(module, 1),
             ref o => panic!("unexpected outcome {o:?}"),
         }
@@ -193,38 +212,73 @@ mod tests {
     #[test]
     fn merge_requires_all_predecessors() {
         let spec = AppKind::Da.pipeline();
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::new(true);
         let id = table.insert(SimTime::ZERO, SimTime::from_millis(420), &spec);
         // Module 3 merges branches from modules 1 and 2.
-        assert!(!table.get_mut(id).deliver(3, 2));
-        assert!(table.get_mut(id).deliver(3, 2));
+        assert!(!table.get_mut(id).unwrap().deliver(3, 2));
+        assert!(table.get_mut(id).unwrap().deliver(3, 2));
     }
 
     #[test]
     fn status_counts_and_log_conversion() {
         let spec = AppKind::Tm.pipeline();
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::new(true);
         let a = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
         let b = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
         let _c = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
-        table.get_mut(a).mark_completed(SimTime::from_millis(300));
         table
-            .get_mut(b)
-            .mark_dropped(0, SimTime::from_millis(10), DropReason::PredictedViolation);
+            .get_mut(a)
+            .unwrap()
+            .mark_completed(SimTime::from_millis(300));
+        table.get_mut(b).unwrap().mark_dropped(
+            0,
+            SimTime::from_millis(10),
+            DropReason::PredictedViolation,
+        );
+        // Retirement keeps records while the log is kept.
+        table.retire(a);
+        assert!(table.get(a).is_some());
         assert_eq!(table.status_counts(), (1, 1, 1));
-        let log = table.into_log();
+        let log = table.take_log();
         assert_eq!(log.len(), 3);
         assert_eq!(log.goodput_count(), 1);
         assert_eq!(log.drop_count(), 1);
+        assert!(table.get(a).is_none(), "the table is empty after take_log");
+    }
+
+    #[test]
+    fn retired_ids_return_none_and_ids_stay_sequential() {
+        let spec = AppKind::Tm.pipeline();
+        let mut table = RequestTable::new(false);
+        let ids: Vec<u64> = (0..3)
+            .map(|_| table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec))
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        table
+            .get_mut(1)
+            .unwrap()
+            .mark_completed(SimTime::from_millis(300));
+        table.retire(1);
+        assert!(table.get(1).is_none());
+        assert!(table.active(1).is_none());
+        assert_eq!(table.status_counts(), (2, 0, 0));
+        let next = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
+        assert_eq!(next, 3, "ids are never reused");
+        assert_eq!(table.get(next).unwrap().id, 3);
+        assert!(table.take_log().is_empty(), "no log without keep_log");
+        assert_eq!(
+            table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec),
+            4
+        );
     }
 
     #[test]
     fn stage_accumulation() {
         let spec = AppKind::Tm.pipeline();
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::new(true);
         let id = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
         let t0 = SimTime::from_millis(10);
-        table.get_mut(id).stages.push(StageRecord {
+        table.get_mut(id).unwrap().stages.push(StageRecord {
             module: 0,
             worker: 0,
             arrived: t0,
@@ -234,6 +288,6 @@ mod tests {
             batch_size: 8,
             gpu_share: SimDuration::from_millis(5),
         });
-        assert_eq!(table.get(id).stages.len(), 1);
+        assert_eq!(table.get(id).unwrap().stages.len(), 1);
     }
 }

@@ -47,6 +47,15 @@
 //! non-decreasing schedule order (one driver, sorted schedule);
 //! [`SimServer::drain`] releases the gate to its deadline so the tail
 //! resolves.
+//!
+//! # Bounded state
+//!
+//! The world reports each request the moment it turns terminal, and
+//! the server retires it once its [`TerminalEvent`] is built. Without
+//! the request log ([`SimServer::set_keep_request_log`]) a serving
+//! process therefore holds state for the requests in flight only, not
+//! for every request it has served. With the log (the default) every
+//! record is kept for [`SimServer::take_log`], as a trace run keeps it.
 
 use pard_core::PolicyFactory;
 use pard_metrics::{Outcome, RequestLog};
@@ -56,7 +65,6 @@ use pard_sim::{SimDuration, SimTime, Simulation};
 
 use crate::config::ClusterConfig;
 use crate::engine::{ClusterWorld, Event};
-use crate::request::ReqStatus;
 use crate::worker::WorkerState;
 
 /// A request that reached a terminal state during a pump or drain.
@@ -92,8 +100,8 @@ pub struct EdgeSnapshot {
 /// The stepped-clock serving wrapper around [`ClusterWorld`].
 pub struct SimServer {
     sim: Simulation<ClusterWorld>,
-    /// Submitted requests not yet terminal, in submit order.
-    unresolved: Vec<u64>,
+    /// Submitted requests not yet terminal.
+    unresolved: usize,
     /// Scheduled-replay clock gate: once set (by the first
     /// [`SimServer::advance_to`]), [`SimServer::pump`] never processes
     /// an event beyond it. `None` = ungated closed-loop serving.
@@ -136,6 +144,7 @@ impl SimServer {
             SimTime::MAX,
         );
         let mut sim = Simulation::new(world);
+        sim.world_mut().resolved = Some(Vec::new());
         sim.schedule(first_sync, Event::Sync);
         sim.schedule(SimTime::ZERO + scale_period, Event::Scale);
         // Faults fire mid-run when virtual time passes their
@@ -147,7 +156,7 @@ impl SimServer {
         crate::engine::schedule_faults(&mut sim, &faults);
         SimServer {
             sim,
-            unresolved: Vec::new(),
+            unresolved: 0,
             gate: None,
         }
     }
@@ -164,7 +173,18 @@ impl SimServer {
 
     /// Number of submitted requests not yet terminal.
     pub fn unresolved(&self) -> usize {
-        self.unresolved.len()
+        self.unresolved
+    }
+
+    /// Chooses whether every request's record is kept for
+    /// [`SimServer::take_log`] (the default) or freed as the request
+    /// resolves, so state stays bounded by the requests in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the first [`SimServer::submit`].
+    pub fn set_keep_request_log(&mut self, keep: bool) {
+        self.sim.world_mut().requests.set_keep_log(keep);
     }
 
     /// Installs a flight recorder: from now on every lifecycle event
@@ -202,7 +222,7 @@ impl SimServer {
                 req: id,
             },
         );
-        self.unresolved.push(id);
+        self.unresolved += 1;
         id
     }
 
@@ -216,7 +236,7 @@ impl SimServer {
         let mut out = Vec::new();
         let mut processed = 0;
         for _ in 0..max_events {
-            if self.unresolved.is_empty() {
+            if self.unresolved == 0 {
                 break;
             }
             if let (Some(gate), Some(next)) = (self.gate, self.sim.peek_time()) {
@@ -272,7 +292,7 @@ impl SimServer {
             self.gate = Some(gate.max(deadline));
         }
         let mut out = Vec::new();
-        while !self.unresolved.is_empty() {
+        while self.unresolved > 0 {
             match self.sim.peek_time() {
                 Some(t) if t <= deadline => {
                     self.sim.step();
@@ -313,28 +333,39 @@ impl SimServer {
     }
 
     /// Takes the accumulated request log, leaving the server empty (a
-    /// subsequent take returns an empty log).
+    /// subsequent take returns an empty log). Without the request log
+    /// ([`SimServer::set_keep_request_log`]) the log is always empty.
+    /// Ids keep counting up, so a request submitted later never shares
+    /// an id with one taken here.
     pub fn take_log(&mut self) -> RequestLog {
-        self.unresolved.clear();
-        std::mem::take(&mut self.sim.world_mut().requests).into_log()
+        self.unresolved = 0;
+        let world = self.sim.world_mut();
+        if let Some(resolved) = &mut world.resolved {
+            resolved.clear();
+        }
+        world.requests.take_log()
     }
 
+    /// Turns the requests the world resolved since the last call into
+    /// terminal events, in ascending id order, and retires them.
     fn collect_terminals(&mut self, out: &mut Vec<TerminalEvent>) {
-        let world = self.sim.world();
-        self.unresolved.retain(|&id| {
-            let r = world.requests.get(id);
-            if r.status == ReqStatus::Active {
-                true
-            } else {
-                out.push(TerminalEvent {
-                    id,
-                    sent: r.sent,
-                    deadline: r.deadline,
-                    outcome: r.outcome,
-                });
-                false
-            }
-        });
+        let world = self.sim.world_mut();
+        let resolved = world.resolved.as_mut().expect("serving worlds report");
+        resolved.sort_unstable();
+        for id in resolved.drain(..) {
+            let r = world
+                .requests
+                .get(id)
+                .expect("a request is retired only after its terminal event");
+            out.push(TerminalEvent {
+                id,
+                sent: r.sent,
+                deadline: r.deadline,
+                outcome: r.outcome,
+            });
+            world.requests.retire(id);
+            self.unresolved -= 1;
+        }
     }
 }
 

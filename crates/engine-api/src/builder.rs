@@ -151,6 +151,7 @@ pub struct EngineBuilder {
     exec_jitter_sigma: Option<f64>,
     net_delay: Option<SimDuration>,
     recorder_capacity: Option<usize>,
+    keep_request_log: bool,
 }
 
 impl EngineBuilder {
@@ -170,6 +171,7 @@ impl EngineBuilder {
             exec_jitter_sigma: None,
             net_delay: None,
             recorder_capacity: None,
+            keep_request_log: true,
         }
     }
 
@@ -268,6 +270,21 @@ impl EngineBuilder {
         self
     }
 
+    /// Whether the engine keeps every request's record for the
+    /// [`RequestLog`](pard_metrics::RequestLog) that
+    /// [`EngineHandle::drain`] returns (default `true`, on both
+    /// backends). With `false` each request's state is freed the
+    /// moment it resolves, so memory stays bounded by the requests in
+    /// flight however many are served, and `drain` returns an empty
+    /// log. Completions, the flight recorder and the edge state are
+    /// unaffected. Serving processes that never read the log (the
+    /// gateway binary) pass `false`; trace analyses that read per-stage
+    /// records from the log keep the default.
+    pub fn keep_request_log(mut self, keep: bool) -> EngineBuilder {
+        self.keep_request_log = keep;
+        self
+    }
+
     /// Builds the engine behind the trait — the form front-ends like
     /// the gateway consume. For backend-specific surface (e.g.
     /// [`pard_runtime::LiveCluster::run_open_loop`]) use
@@ -317,6 +334,7 @@ impl EngineBuilder {
         }
         let faults = self.faults.clone().unwrap_or_default();
         let fault_seed = self.fault_seed.unwrap_or(0);
+        let keep_request_log = self.keep_request_log;
         let workers_override = self.workers_per_module.clone();
         let (spec, profiles, policy) = self.resolve()?;
         if let Some(workers) = workers_override {
@@ -370,6 +388,7 @@ impl EngineBuilder {
             })
         };
         let cluster = LiveCluster::start(spec, profiles, policy, factory, config);
+        cluster.set_keep_request_log(keep_request_log);
         Ok(LiveEngine::new(cluster))
     }
 
@@ -377,6 +396,7 @@ impl EngineBuilder {
     /// exposed.
     pub fn build_sim(self, mut config: ClusterConfig) -> Result<SimEngine, EngineError> {
         let workers_override = self.workers_per_module.clone();
+        let keep_request_log = self.keep_request_log;
         let recorder_capacity = self
             .recorder_capacity
             .unwrap_or(pard_obs::FlightRecorder::DEFAULT_CAPACITY);
@@ -426,7 +446,8 @@ impl EngineBuilder {
             spec.modules.len(),
             (!config.autoscale).then_some(workers.as_slice()),
         )?;
-        let server = SimServer::new(spec, profiles, policy, config, workers);
+        let mut server = SimServer::new(spec, profiles, policy, config, workers);
+        server.set_keep_request_log(keep_request_log);
         Ok(SimEngine::with_recorder_capacity(server, recorder_capacity))
     }
 

@@ -125,7 +125,9 @@ pub trait EngineHandle: Send + Sync {
     /// Resolves in-flight requests (bounded by `limit` of virtual
     /// time), stops the engine, and returns the request log. The first
     /// call takes the log and drops the completion handler; later calls
-    /// return an empty log.
+    /// return an empty log. An engine built without the request log
+    /// ([`EngineBuilder::keep_request_log`](crate::EngineBuilder::keep_request_log)
+    /// `false`) always returns an empty log.
     fn drain(&self, limit: SimDuration) -> RequestLog;
 
     /// The engine's flight recorder, if it records lifecycle events.

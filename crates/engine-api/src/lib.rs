@@ -10,7 +10,9 @@
 //! [`EngineHandle`] is the unified surface a serving front-end drives:
 //! submit, edge-state snapshots, completion delivery, a virtual clock,
 //! and a draining shutdown that yields the full
-//! [`pard_metrics::RequestLog`]. [`EngineBuilder`] constructs either
+//! [`pard_metrics::RequestLog`] — or, for serving processes that opt
+//! out with [`EngineBuilder::keep_request_log`], frees each request's
+//! state as it resolves. [`EngineBuilder`] constructs either
 //! implementation from a [`PipelineSpec`](pard_pipeline::PipelineSpec):
 //!
 //! * [`Backend::Live`] — the threaded [`LiveCluster`] with sleep

@@ -1,15 +1,18 @@
 //! The completion-handler contract of [`EngineHandle`]: every request
 //! resolves to exactly one handler call carrying its id, tag and
 //! outcome; the channel adapter (`set_completion_sink`) sees exactly
-//! what a handler sees; and `drain` drops the handler, so nothing is
-//! delivered once it returns.
+//! what a handler sees; `drain` drops the handler, so nothing is
+//! delivered once it returns; and an engine that frees each request's
+//! state as it resolves (no request log) delivers exactly the
+//! completions of one that keeps the log.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use pard_core::PardConfig;
 use pard_engine_api::{
-    Backend, ClusterConfig, Completion, EngineBuilder, EngineHandle, LiveConfig, SubmitSpec,
+    Backend, ClusterConfig, Completion, EngineBuilder, EngineHandle, FaultSpec, LiveConfig,
+    SubmitSpec,
 };
 use pard_metrics::Outcome;
 use pard_pipeline::AppKind;
@@ -20,12 +23,25 @@ const REQUESTS: u64 = 400;
 
 type Seen = Arc<Mutex<Vec<(u64, u64, Outcome)>>>;
 
-fn sim_engine() -> Box<dyn EngineHandle> {
-    EngineBuilder::for_app(AppKind::Tm)
+/// A seeded simulator for `app`. The DAG app also loses a worker of
+/// one branch mid-sequence, so crash drops and re-dispatch run too.
+fn sim_engine(app: AppKind, keep_log: bool) -> Box<dyn EngineHandle> {
+    let modules = app.pipeline().modules.len();
+    let faults = match app {
+        AppKind::Da => vec![FaultSpec::WorkerCrash {
+            module: 1,
+            worker: 0,
+            at: SimTime::from_millis(150),
+        }],
+        _ => Vec::new(),
+    };
+    EngineBuilder::for_app(app)
+        .keep_request_log(keep_log)
+        .with_faults(faults)
         .build(Backend::Sim(
             ClusterConfig::default()
                 .with_seed(42)
-                .with_fixed_workers(vec![2; 3])
+                .with_fixed_workers(vec![2; modules])
                 .with_pard(PardConfig::default().with_mc_draws(200)),
         ))
         .expect("sim engine builds")
@@ -89,7 +105,13 @@ fn assert_exactly_once(backend: &str, seen: &[(u64, u64, Outcome)], submitted: &
 
 #[test]
 fn sim_handler_and_sink_adapter_see_the_same_completions() {
-    let engine = sim_engine();
+    for app in [AppKind::Tm, AppKind::Da] {
+        handler_and_sink_agree(app);
+    }
+}
+
+fn handler_and_sink_agree(app: AppKind) {
+    let engine = sim_engine(app, true);
     let seen = record_with_handler(engine.as_ref());
     let submitted = submit_sequence(engine.as_ref(), true);
     let log = engine.drain(SimDuration::from_secs(60));
@@ -112,7 +134,20 @@ fn sim_handler_and_sink_adapter_see_the_same_completions() {
         "the sequence must drop some requests"
     );
 
-    let engine = sim_engine();
+    // Without the request log each request's state is freed as it
+    // resolves; the ordered completions must not change at all.
+    let engine = sim_engine(app, false);
+    let freed = record_with_handler(engine.as_ref());
+    submit_sequence(engine.as_ref(), true);
+    assert!(engine.drain(SimDuration::from_secs(60)).is_empty());
+    assert_eq!(
+        *freed.lock().unwrap(),
+        by_handler,
+        "{}: the log setting changed the completion sequence",
+        app.name()
+    );
+
+    let engine = sim_engine(app, true);
     let (tx, rx) = std::sync::mpsc::channel();
     engine.set_completion_sink(tx);
     submit_sequence(engine.as_ref(), true);
@@ -153,6 +188,6 @@ fn assert_quiet_after_drain(backend: &str, engine: Box<dyn EngineHandle>) {
 
 #[test]
 fn nothing_is_delivered_after_drain_on_either_backend() {
-    assert_quiet_after_drain("sim", sim_engine());
+    assert_quiet_after_drain("sim", sim_engine(AppKind::Tm, true));
     assert_quiet_after_drain("live", live_engine());
 }

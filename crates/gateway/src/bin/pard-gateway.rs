@@ -213,7 +213,10 @@ fn main() {
                     .with_pard(pard_core::PardConfig::default().with_mc_draws(1_000)),
             ),
         };
+        // A serving process never reads the per-request log: free each
+        // request's engine state as it resolves.
         let engine = EngineBuilder::new(spec)
+            .keep_request_log(false)
             .build(backend)
             .unwrap_or_else(|e| die(e));
         let mut app = AppConfig::new(engine);
@@ -257,9 +260,9 @@ fn main() {
                 .iter()
                 .filter_map(|name| gateway.counters_of(name))
                 .collect();
-            let logs = gateway.shutdown_multi(pard_sim::SimDuration::from_secs(10));
+            gateway.shutdown_multi(pard_sim::SimDuration::from_secs(10));
             println!("--- run summary ---");
-            for ((name, snapshot), log) in names.iter().zip(&snapshots).zip(&logs) {
+            for (name, snapshot) in names.iter().zip(&snapshots) {
                 println!(
                     "[{name}] received {}  admitted {}  edge-rejected {}  rate-limited {}  ok {}  \
                      late {}  dropped {}  protocol-errors {}",
@@ -271,12 +274,6 @@ fn main() {
                     snapshot.completed_late,
                     snapshot.dropped,
                     snapshot.protocol_errors,
-                );
-                println!(
-                    "[{name}] request log: {} entries, goodput {}, drops {}",
-                    log.len(),
-                    log.goodput_count(),
-                    log.drop_count()
                 );
             }
         }

@@ -2071,7 +2071,8 @@ impl Gateway {
     }
 
     /// Shuts every app down and returns their request logs in
-    /// registration order.
+    /// registration order (empty for an engine built without the
+    /// request log).
     pub fn shutdown_multi(self, drain_virtual: SimDuration) -> Vec<RequestLog> {
         let Gateway {
             core,

@@ -27,8 +27,9 @@ fn live_backend() -> Backend {
     Backend::Live(LiveConfig::compressed(20.0, 3, 2))
 }
 
-fn gateway(backend: Backend) -> Gateway {
+fn gateway(backend: Backend, keep_request_log: bool) -> Gateway {
     let engine = EngineBuilder::new(AppKind::Tm.pipeline())
+        .keep_request_log(keep_request_log)
         .build(backend)
         .expect("engine builds");
     Gateway::start(
@@ -46,11 +47,15 @@ fn gateway(backend: Backend) -> Gateway {
 /// answer: submits on all connections race one another (and the
 /// threads resolving completions) across the pending-table shards, and
 /// the 1 ms canaries keep the edge-reject path interleaved with
-/// admissions. Runs on the simulator and on the live runtime.
+/// admissions. Runs on the simulator and on the live runtime, each
+/// with its request log kept and with state freed as requests resolve.
 #[test]
 fn pipelined_connections_lose_no_completions_and_double_none() {
-    for (name, backend) in [("sim", sim_backend(7)), ("live", live_backend())] {
-        pipelined_exactly_once(name, gateway(backend));
+    for keep_log in [true, false] {
+        for (name, backend) in [("sim", sim_backend(7)), ("live", live_backend())] {
+            let label = format!("{name} keep_log={keep_log}");
+            pipelined_exactly_once(&label, gateway(backend, keep_log));
+        }
     }
 }
 
@@ -156,7 +161,7 @@ fn closed_loop_hammer_answers_every_call() {
     const CONNS: usize = 8;
     const PER_CONN: usize = 120;
 
-    let gateway = gateway(sim_backend(11));
+    let gateway = gateway(sim_backend(11), true);
     let addr = gateway.addr();
 
     let mut workers = Vec::new();

@@ -17,12 +17,14 @@
 //! ([`dist`]), plain-text table rendering for the benchmark harness
 //! ([`table`]), and the lock-free live serving counters with snapshot /
 //! Prometheus-text export that the gateway's `/metrics` endpoint reads
-//! ([`counters`]).
+//! ([`counters`]), and the sequential-id table both engines hold
+//! per-request state in, freed as requests resolve ([`slots`]).
 
 pub mod counters;
 pub mod dist;
 pub mod record;
 pub mod series;
+pub mod slots;
 pub mod stats;
 pub mod table;
 
@@ -32,5 +34,6 @@ pub use counters::{
 pub use dist::{Cdf, Histogram, Reservoir};
 pub use record::{DropReason, Outcome, RequestLog, RequestRecord, StageRecord};
 pub use series::{EventKind, WindowSeries};
+pub use slots::RequestSlots;
 pub use stats::Summary;
 pub use table::Table;

@@ -20,8 +20,13 @@
 //! the sibling fragments — the request resolves exactly once, as
 //! dropped, and cancelled fragments are discarded at batch formation
 //! before they burn backend execution.
+//!
+//! Per-request state lives in a [`RequestSlots`] table and is retired
+//! when the request resolves, unless the cluster keeps its request log
+//! ([`LiveCluster::set_keep_request_log`], on by default): a serving
+//! process then holds state for the requests in flight only.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -32,7 +37,9 @@ use pard_core::{
     ModuleState, PardConfig, PipelineView, PolicyFactory, PopCtx, PopOutcome, ReqMeta,
     StatePlanner, SyncUpdate,
 };
-use pard_metrics::{DropReason, Outcome, RequestLog, RequestRecord, Reservoir, StageRecord};
+use pard_metrics::{
+    DropReason, Outcome, RequestLog, RequestRecord, RequestSlots, Reservoir, StageRecord,
+};
 use pard_obs::{FlightRecorder, ObsEvent, ObsKind};
 use pard_pipeline::{graph, PipelineSpec};
 use pard_profile::{plan_batches, ModelProfile};
@@ -193,7 +200,9 @@ struct Shared {
     pard: PardConfig,
     shutdown: AtomicBool,
     modules: Vec<ModuleShared>,
-    records: Mutex<Vec<LiveRecord>>,
+    records: Mutex<RequestSlots<LiveRecord>>,
+    /// Submitted requests not yet resolved; `drain` waits on it.
+    unresolved: AtomicUsize,
     completion_handler: Mutex<Option<CompletionHandler>>,
     /// Flight recorder for lifecycle events, always on: recording is a
     /// ticket `fetch_add` plus a handful of atomic stores, so it stays
@@ -259,7 +268,8 @@ impl Shared {
         }
         let joined = {
             let mut records = self.records.lock();
-            let (arrivals, latest) = &mut records[id as usize].merge_arrivals[module];
+            // A retired request already resolved: nothing to join.
+            let (arrivals, latest) = &mut records.get_mut(id)?.merge_arrivals[module];
             *arrivals += 1;
             *latest = (*latest).max(end);
             (*arrivals == required).then_some(*latest)
@@ -276,31 +286,50 @@ impl Shared {
         joined
     }
 
-    /// Discards batch entries whose request already resolved — the
-    /// sibling fragments of a dropped DAG branch. They are cancelled
-    /// here, at batch formation, before any backend execution is spent
-    /// on them; the drop itself was already reported exactly once.
+    /// Discards batch entries whose request already resolved (or was
+    /// retired) — the sibling fragments of a dropped DAG branch. They
+    /// are cancelled here, at batch formation, before any backend
+    /// execution is spent on them; the drop itself was already reported
+    /// exactly once.
     fn cancel_resolved(&self, batch: &mut Vec<(ReqMeta, SimTime)>) {
         let records = self.records.lock();
-        batch.retain(|(meta, _)| matches!(records[meta.id as usize].outcome, Outcome::InFlight));
+        batch.retain(|(meta, _)| {
+            records
+                .get(meta.id)
+                .is_some_and(|r| matches!(r.outcome, Outcome::InFlight))
+        });
+    }
+
+    /// Resolves `record` (request `id`) with `outcome`, retires it, and
+    /// returns its completion. Call with the records lock held.
+    fn resolve(
+        &self,
+        records: &mut RequestSlots<LiveRecord>,
+        id: u64,
+        outcome: Outcome,
+    ) -> Completion {
+        let record = records.get_mut(id).expect("resolving a live record");
+        record.outcome = outcome;
+        let completion = Completion {
+            id,
+            tag: record.tag,
+            sent: record.sent,
+            deadline: record.deadline,
+            outcome,
+        };
+        records.retire(id);
+        self.unresolved.fetch_sub(1, Ordering::AcqRel);
+        completion
     }
 
     fn mark_dropped(&self, id: u64, module: usize, at: SimTime, reason: DropReason) {
         let completion = {
             let mut records = self.records.lock();
-            let record = &mut records[id as usize];
-            if matches!(record.outcome, Outcome::InFlight) {
-                record.outcome = Outcome::Dropped { module, at, reason };
-                Some(Completion {
-                    id,
-                    tag: record.tag,
-                    sent: record.sent,
-                    deadline: record.deadline,
-                    outcome: record.outcome,
-                })
-            } else {
-                None
-            }
+            let in_flight = records
+                .get(id)
+                .is_some_and(|r| matches!(r.outcome, Outcome::InFlight));
+            in_flight
+                .then(|| self.resolve(&mut records, id, Outcome::Dropped { module, at, reason }))
         };
         if let Some(completion) = completion {
             self.recorder.record(&ObsEvent {
@@ -383,7 +412,8 @@ impl LiveCluster {
             pard: config.pard,
             shutdown: AtomicBool::new(false),
             modules,
-            records: Mutex::new(Vec::new()),
+            records: Mutex::new(RequestSlots::new(true)),
+            unresolved: AtomicUsize::new(0),
             completion_handler: Mutex::new(None),
             recorder: Arc::new(FlightRecorder::new()),
             spec,
@@ -430,18 +460,15 @@ impl LiveCluster {
         } else {
             Vec::new()
         };
-        let id = {
-            let mut records = self.shared.records.lock();
-            records.push(LiveRecord {
-                sent: now,
-                deadline,
-                tag: options.tag,
-                stages: Vec::new(),
-                outcome: Outcome::InFlight,
-                merge_arrivals,
-            });
-            (records.len() - 1) as u64
-        };
+        let id = self.shared.records.lock().insert(LiveRecord {
+            sent: now,
+            deadline,
+            tag: options.tag,
+            stages: Vec::new(),
+            outcome: Outcome::InFlight,
+            merge_arrivals,
+        });
+        self.shared.unresolved.fetch_add(1, Ordering::AcqRel);
         let meta = ReqMeta {
             id,
             sent: now,
@@ -450,6 +477,18 @@ impl LiveCluster {
         };
         self.shared.enqueue(self.shared.spec.source(), meta, now);
         id
+    }
+
+    /// Chooses whether every request's record is kept for the log
+    /// [`LiveCluster::drain`] returns (the default) or freed as the
+    /// request resolves, so the cluster's state stays bounded by the
+    /// requests in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the first submit.
+    pub fn set_keep_request_log(&self, keep: bool) {
+        self.shared.records.lock().set_keep_log(keep);
     }
 
     /// Registers the handler called with a [`Completion`] the moment any
@@ -531,19 +570,13 @@ impl LiveCluster {
     /// [`LiveCluster::finish`] through a shared reference, for callers
     /// that hold the cluster behind a trait object. Idempotent: the
     /// first call stops the engine and takes the log; later calls
-    /// return an empty log.
+    /// return an empty log. Without the request log
+    /// ([`LiveCluster::set_keep_request_log`]) the log is always empty.
     pub fn drain(&self, drain_virtual: SimDuration) -> RequestLog {
         let deadline = self.shared.clock.now() + drain_virtual;
-        loop {
-            let pending = {
-                let records = self.shared.records.lock();
-                records
-                    .iter()
-                    .any(|r| matches!(r.outcome, Outcome::InFlight))
-            };
-            if !pending || self.shared.clock.now() >= deadline {
-                break;
-            }
+        while self.shared.unresolved.load(Ordering::Acquire) > 0
+            && self.shared.clock.now() < deadline
+        {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -559,16 +592,19 @@ impl LiveCluster {
         // Every resolving thread is joined: nothing is delivered after
         // this, and dropping the handler unblocks channel consumers.
         *self.shared.completion_handler.lock() = None;
-        let records = std::mem::take(&mut *self.shared.records.lock());
+        let mut records = self.shared.records.lock();
+        let taken = records.take_all();
         let mut log = RequestLog::new();
-        for (id, r) in records.into_iter().enumerate() {
-            log.push(RequestRecord {
-                id: id as u64,
-                sent: r.sent,
-                deadline: r.deadline,
-                stages: r.stages,
-                outcome: r.outcome,
-            });
+        if records.keeps_log() {
+            for (id, r) in taken {
+                log.push(RequestRecord {
+                    id,
+                    sent: r.sent,
+                    deadline: r.deadline,
+                    stages: r.stages,
+                    outcome: r.outcome,
+                });
+            }
         }
         log
     }
@@ -655,23 +691,23 @@ fn worker_loop(shared: Arc<Shared>, m: usize, w: usize, mut backend: Box<dyn Inf
                     .push(end, end.saturating_since(meta.arrived).as_millis_f64());
             }
             let mut records = shared.records.lock();
-            let record = &mut records[meta.id as usize];
-            record.stages.push(stage);
+            let keep_log = records.keeps_log();
             // A sibling branch may have dropped the request while this
-            // fragment was executing; the stage is still recorded, but
-            // the request neither completes nor forwards.
-            let active = matches!(record.outcome, Outcome::InFlight);
-            let mut completion = None;
-            if active && is_sink {
-                record.outcome = Outcome::Completed { finished: end };
-                completion = Some(Completion {
-                    id: meta.id,
-                    tag: record.tag,
-                    sent: record.sent,
-                    deadline: record.deadline,
-                    outcome: record.outcome,
-                });
-            }
+            // fragment was executing (it may even be retired); the
+            // request neither completes nor forwards, and a kept log
+            // still records the stage.
+            let active = match records.get_mut(meta.id) {
+                Some(record) => {
+                    if keep_log {
+                        record.stages.push(stage);
+                    }
+                    matches!(record.outcome, Outcome::InFlight)
+                }
+                None => false,
+            };
+            let completion = (active && is_sink).then(|| {
+                shared.resolve(&mut records, meta.id, Outcome::Completed { finished: end })
+            });
             drop(records);
             shared.recorder.record(&ObsEvent {
                 t_us: end.as_micros(),
