@@ -70,6 +70,21 @@ pub trait EngineHandle: Send + Sync {
     /// at the completion handler.
     fn submit(&self, spec: SubmitSpec) -> RequestId;
 
+    /// [`EngineHandle::submit`], calling `filed` with the new id before
+    /// any other thread can step the request. A front-end records what
+    /// it knows about the request there (its admission decision), so
+    /// that record precedes the request's stage and completion events
+    /// even when another thread's `pump` or `settle` runs right after
+    /// the submit. A stepped engine calls `filed` under its internal
+    /// lock, so it must not call back into the engine. The default
+    /// submits, then calls `filed`: a self-driving engine records a
+    /// request's first stage only after executing a batch.
+    fn submit_then(&self, spec: SubmitSpec, filed: &mut dyn FnMut(RequestId)) -> RequestId {
+        let id = self.submit(spec);
+        filed(id);
+        id
+    }
+
     /// Snapshot of the state edge admission control needs.
     fn edge_state(&self) -> EdgeState;
 
@@ -106,6 +121,23 @@ pub trait EngineHandle: Send + Sync {
     /// `false` means the caller may idle briefly. Live engines are
     /// self-driving and always return `false`.
     fn pump(&self) -> bool {
+        false
+    }
+
+    /// Lets a submitting thread take the engine's next bounded step
+    /// itself, so a request can resolve — and be answered — on the
+    /// thread that submitted it, without waking whoever drives
+    /// [`EngineHandle::pump`].
+    ///
+    /// Runs at most one bounded step on the calling thread; any
+    /// completions it resolves reach the handler on this thread before
+    /// `settle` returns. Returns `true` only when no request is left
+    /// unresolved; `false` means the caller should leave the remaining
+    /// work to the pump. The default does nothing and returns `false`,
+    /// which is the right answer for self-driving engines and for any
+    /// engine whose step might block: `pump` stays the one call a
+    /// front-end supervises with a watchdog.
+    fn settle(&self) -> bool {
         false
     }
 

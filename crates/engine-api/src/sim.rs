@@ -15,8 +15,9 @@ use pard_sim::{SimDuration, SimTime};
 
 use crate::handle::{EngineHandle, RequestId, SubmitSpec};
 
-/// Events processed per [`EngineHandle::pump`] call — bounds how long
-/// the simulator lock is held while other threads want to submit.
+/// Events processed per [`EngineHandle::pump`] or
+/// [`EngineHandle::settle`] call — bounds how long the simulator lock
+/// is held while other threads want to submit.
 const PUMP_CHUNK: usize = 512;
 
 struct Inner {
@@ -46,7 +47,8 @@ impl Inner {
 
 /// The simulated engine behind the unified API: a [`SimServer`] under a
 /// mutex, with virtual time advanced by [`EngineHandle::pump`] calls
-/// from the front-end's pump thread.
+/// from the front-end's pump thread and by [`EngineHandle::settle`]
+/// calls from the threads that submit.
 ///
 /// # Determinism
 ///
@@ -54,8 +56,11 @@ impl Inner {
 /// **closed-loop** driver (each request submitted only after the
 /// previous one resolved — e.g. one connection, one outstanding call)
 /// sees outcomes that are a pure function of the submit sequence and
-/// the seed, reproducible across runs. Under free-running pipelined or
-/// multi-connection traffic, submits race the pump thread's progress
+/// the seed, reproducible across runs. Free-running work is advanced
+/// both by the pump thread and by the submitting thread's `settle`;
+/// both take the same bounded 512-event step under the engine lock, so
+/// who takes a step never changes what it does. Under free-running
+/// pipelined or multi-connection traffic, submits race that progress
 /// through the event queue, so virtual arrival times (and therefore
 /// borderline admission decisions) can vary with wall-clock
 /// interleaving. **Scheduled replay** closes that gap: a driver that
@@ -135,6 +140,10 @@ impl EngineHandle for SimEngine {
     }
 
     fn submit(&self, spec: SubmitSpec) -> RequestId {
+        self.submit_then(spec, &mut |_| {})
+    }
+
+    fn submit_then(&self, spec: SubmitSpec, filed: &mut dyn FnMut(RequestId)) -> RequestId {
         let mut inner = self.inner.lock();
         match spec.at {
             // Scheduled replay: pin the clock (and the gate) to the
@@ -153,6 +162,7 @@ impl EngineHandle for SimEngine {
             inner.tags.insert(id, spec.tag);
         }
         self.publish_now(&inner);
+        filed(id);
         id
     }
 
@@ -185,6 +195,19 @@ impl EngineHandle for SimEngine {
         inner.deliver(terminals);
         self.publish_now(&inner);
         progressed
+    }
+
+    /// One `PUMP_CHUNK` of simulation on the calling thread, the same
+    /// step [`EngineHandle::pump`] takes. A step is bounded computation
+    /// over the event queue; it waits on nothing but the engine lock.
+    fn settle(&self) -> bool {
+        let mut inner = self.inner.lock();
+        if inner.server.unresolved() > 0 {
+            let (_, terminals) = inner.server.pump(PUMP_CHUNK);
+            inner.deliver(terminals);
+            self.publish_now(&inner);
+        }
+        inner.server.unresolved() == 0
     }
 
     fn advance_to(&self, t: SimTime) -> bool {

@@ -4,10 +4,13 @@
 //! what a handler sees; `drain` drops the handler, so nothing is
 //! delivered once it returns; and an engine that frees each request's
 //! state as it resolves (no request log) delivers exactly the
-//! completions of one that keeps the log.
+//! completions of one that keeps the log. `settle` takes one bounded
+//! step on the calling thread: a stepped engine resolves a closed-loop
+//! request there, and a live engine leaves it to its own workers.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use pard_core::PardConfig;
 use pard_engine_api::{
@@ -190,4 +193,104 @@ fn assert_quiet_after_drain(backend: &str, engine: Box<dyn EngineHandle>) {
 fn nothing_is_delivered_after_drain_on_either_backend() {
     assert_quiet_after_drain("sim", sim_engine(AppKind::Tm, true));
     assert_quiet_after_drain("live", live_engine());
+}
+
+/// Registers a handler that records each completion's id with the
+/// thread it was delivered on.
+fn record_threads(engine: &dyn EngineHandle) -> Arc<Mutex<Vec<(u64, ThreadId)>>> {
+    let seen: Arc<Mutex<Vec<(u64, ThreadId)>>> = Arc::default();
+    let sink = Arc::clone(&seen);
+    engine.set_completion_handler(Arc::new(move |c: Completion| {
+        sink.lock()
+            .unwrap()
+            .push((c.id, std::thread::current().id()));
+    }));
+    seen
+}
+
+#[test]
+fn settle_resolves_a_closed_loop_on_the_calling_thread() {
+    const CLOSED_LOOP: u64 = 1_000;
+    let caller = std::thread::current().id();
+    for app in [AppKind::Tm, AppKind::Da] {
+        // Closed loop, as the gateway's submitting shard drives it: each
+        // free-running submit files its id, then is settled before the
+        // next one.
+        let engine = sim_engine(app, false);
+        let seen = record_threads(engine.as_ref());
+        for i in 0..CLOSED_LOOP {
+            let mut filed = None;
+            let id = engine.submit_then(SubmitSpec::default().with_tag(1 + i), &mut |id| {
+                // Called before any step could resolve the request.
+                assert_eq!(seen.lock().unwrap().len() as u64, i);
+                filed = Some(id);
+            });
+            assert_eq!(filed, Some(id));
+            assert!(
+                engine.settle(),
+                "{}: request {i} left unresolved by one step",
+                app.name()
+            );
+            assert_eq!(
+                seen.lock().unwrap().last(),
+                Some(&(id, caller)),
+                "{}: request {i} not delivered on the settling thread",
+                app.name()
+            );
+        }
+        assert_eq!(seen.lock().unwrap().len() as u64, CLOSED_LOOP);
+        // Nothing unresolved: settle is a no-op that still says so.
+        assert!(engine.settle());
+        assert_eq!(seen.lock().unwrap().len() as u64, CLOSED_LOOP);
+        engine.drain(SimDuration::from_secs(1));
+
+        // A backlog needs many steps; one settle takes exactly the one
+        // bounded step a `pump` call takes on an identical engine.
+        let settled = sim_engine(app, false);
+        let pumped = sim_engine(app, false);
+        let by_settle = record_threads(settled.as_ref());
+        let by_pump = record_threads(pumped.as_ref());
+        for engine in [&settled, &pumped] {
+            for i in 0..REQUESTS {
+                engine.submit(SubmitSpec::default().with_tag(1 + i));
+            }
+        }
+        assert!(
+            !settled.settle(),
+            "{}: {REQUESTS} requests resolved within one step",
+            app.name()
+        );
+        assert!(pumped.pump());
+        let ids = |seen: &Arc<Mutex<Vec<(u64, ThreadId)>>>| -> Vec<u64> {
+            seen.lock().unwrap().iter().map(|&(id, _)| id).collect()
+        };
+        assert_eq!(ids(&by_settle), ids(&by_pump), "{}", app.name());
+        assert_eq!(settled.now(), pumped.now(), "{}", app.name());
+        assert!(ids(&by_settle).len() < REQUESTS as usize);
+        settled.drain(SimDuration::from_secs(60));
+        pumped.drain(SimDuration::from_secs(60));
+    }
+}
+
+#[test]
+fn live_settle_declines_and_delivers_nothing() {
+    let engine = live_engine();
+    let seen = record_threads(engine.as_ref());
+    assert!(!engine.settle(), "live: settle with nothing submitted");
+    engine.submit(SubmitSpec::default());
+    assert!(!engine.settle(), "live: settle after a submit");
+    let caller = std::thread::current().id();
+    assert!(
+        seen.lock()
+            .unwrap()
+            .iter()
+            .all(|&(_, thread)| thread != caller),
+        "live: settle delivered a completion on the calling thread"
+    );
+    engine.drain(SimDuration::from_secs(60));
+    assert_eq!(
+        seen.lock().unwrap().len(),
+        1,
+        "live: the submit resolves on the workers"
+    );
 }

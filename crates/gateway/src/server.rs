@@ -47,13 +47,18 @@
 //!   `rate_limited` envelope before the admission math runs — the
 //!   token bucket refills on the engine's own clock, so limits are
 //!   deterministic under simulated time.
-//! * **Submits wake the pump.** Stepped engines are driven the moment
-//!   work arrives instead of on the pump thread's next idle tick,
-//!   which is what bounds closed-loop RTT on the sim backend.
+//! * **The submitting shard settles the sim.** After a free-running
+//!   submit to a stepped engine, the shard takes the engine's next
+//!   bounded step itself ([`EngineHandle::settle`]), so a closed-loop
+//!   request resolves, is answered and is flushed in the same shard
+//!   tick, with no thread handoff. Only work that one step leaves
+//!   unresolved wakes the pump thread, which stays the one caller of
+//!   the watchdog-supervised `pump`.
 //! * **Completions are answered where they resolve.** The engine calls
-//!   the gateway's handler on the resolving thread (pump, replaying
-//!   shard or live worker), which queues the reply on the shard inbox
-//!   directly. Locks nest engine → pending shard → shard inbox.
+//!   the gateway's handler on the resolving thread (submitting or
+//!   replaying shard, pump or live worker), which queues the reply on
+//!   the shard inbox directly. Locks nest engine → pending shard →
+//!   shard inbox.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -340,9 +345,10 @@ struct PendingEntry {
 // Pump signalling (unchanged from the thread-per-connection gateway)
 // ---------------------------------------------------------------------------
 
-/// Wakes the pump thread the moment a submit gives it work, so stepped
-/// engines resolve requests at notify latency instead of on the next
-/// idle-sleep tick.
+/// Wakes the pump thread the moment a submit leaves it work (whatever
+/// the submitting shard's [`EngineHandle::settle`] step did not
+/// resolve), so stepped engines resolve requests at notify latency
+/// instead of on the next idle-sleep tick.
 ///
 /// The fast path is one `armed` load: while the pump is actively
 /// working (or the engine is live and never pumps), submitters skip
@@ -1583,9 +1589,12 @@ fn finish_decision(
         }
         Decision::Admit => {
             // Reserve capacity before the submit; the entry itself is
-            // filed right after, and the shard-level orphan parking
-            // closes the race with a completion firing in between (see
-            // `crate::pending`). Under multi-app overload the tenant
+            // filed right after. A completion firing in between (a live
+            // worker, a replay advance, or the pump thread stepping
+            // another request's work) is parked by the pending shard and
+            // claimed by the insert (see `crate::pending`); the settle
+            // step below runs after the insert, so the common sim path
+            // never parks. Under multi-app overload the tenant
             // quota can refuse even with shared headroom left — that
             // headroom is another tenant's guarantee.
             if !core.pending.reserve_tenant(app.index) {
@@ -1604,23 +1613,19 @@ fn finish_decision(
                 return;
             }
             app.counters.admitted.incr();
-            let id = app.engine.submit(SubmitSpec {
-                slo: Some(slo),
-                tag: 0,
-                // Scheduled requests keep the replay gate pinned at
-                // their arrival; plain requests release it (see
-                // [`pard_engine_api::SubmitSpec::at`]).
-                at: at_us.map(SimTime::from_micros),
-            });
-            app.record_edge_decision(now, id, trace, None);
-            // Give the pump thread the work immediately — stepped
-            // engines only; a live engine resolves work on its own
-            // threads and must not pay a per-request signal lock.
-            // Scheduled replay skips the wake: the replay connection
-            // drives the clock itself.
-            if app.stepped && at_us.is_none() {
-                app.pump_signal.notify();
-            }
+            // The edge decision is recorded before any thread can step
+            // the request, so `/flightrecord` reads edge → stage → done.
+            let id = app.engine.submit_then(
+                SubmitSpec {
+                    slo: Some(slo),
+                    tag: 0,
+                    // Scheduled requests keep the replay gate pinned at
+                    // their arrival; plain requests release it (see
+                    // [`pard_engine_api::SubmitSpec::at`]).
+                    at: at_us.map(SimTime::from_micros),
+                },
+                &mut |id| app.record_edge_decision(now, id, trace, None),
+            );
             if !settles {
                 // The completion handler's eventual reply settles this
                 // owed response; parked requests were counted at park
@@ -1644,6 +1649,17 @@ fn finish_decision(
                     &app.rtt,
                 );
                 sink.reply(response, true);
+            }
+            // A free-running submit on a stepped engine takes the
+            // engine's next bounded step right here, after the pending
+            // entry is filed: the completion finds its entry, and the
+            // reply lands in this shard's own inbox in time for this
+            // tick's flush. Whatever one step leaves unresolved goes to
+            // the pump thread. A live engine resolves work on its own
+            // threads and skips both; a scheduled replay drives the
+            // clock itself.
+            if app.stepped && at_us.is_none() && !app.engine.settle() {
+                app.pump_signal.notify();
             }
         }
     }
@@ -1906,8 +1922,9 @@ impl Gateway {
 
         // One pump per app: advances engines with a stepped virtual
         // clock (the simulator). Self-driving engines return false and
-        // the thread idles on the signal; submits notify it so work is
-        // picked up at wake latency, not on the next timeout tick.
+        // the thread idles on the signal; a submit that its own settle
+        // step did not resolve notifies it, so the rest is picked up at
+        // wake latency, not on the next timeout tick.
         //
         // The pump is the one gateway thread that runs arbitrary engine
         // code in a loop, so it carries the watchdog instrumentation: a

@@ -168,6 +168,40 @@ fn events_flightrecord_and_router_smoke() {
         "no completion event recorded"
     );
 
+    // The dump is in emission order, and the gateway records each
+    // admission before any thread can step the request, so every
+    // admitted request reads edge → stage → done.
+    let req_of = |line: &str| -> u64 {
+        let rest = &line[line.find("\"req\":").expect("req field") + "\"req\":".len()..];
+        rest[..rest.find(',').expect("field sep")]
+            .parse()
+            .expect("req number")
+    };
+    let position = |req: u64, kind: &str| {
+        lines
+            .iter()
+            .position(|l| req_of(l) == req && l.contains(&format!("\"kind\":\"{kind}\"")))
+    };
+    let admitted: Vec<u64> = lines
+        .iter()
+        .filter(|l| l.contains("\"decision\":\"admit\""))
+        .map(|l| req_of(l))
+        .collect();
+    assert_eq!(
+        admitted.len(),
+        30,
+        "every admitted request has an edge line"
+    );
+    for req in admitted {
+        let edge = position(req, "edge").expect("edge line");
+        let stage = position(req, "stage").expect("stage line");
+        let done = position(req, "done").expect("done line");
+        assert!(
+            edge < stage && edge < done,
+            "request {req}: edge at line {edge}, first stage at {stage}, done at {done}"
+        );
+    }
+
     // A bounded dump returns exactly the events from the last N µs of
     // *recorded virtual time*. (Not a ticket-order suffix: a gateway
     // reader thread records an admitted request's edge decision — an
